@@ -1,58 +1,82 @@
-//! A key-interning count table for the randomized operator's accumulator.
+//! A fingerprint-keyed count table for the randomized operator's
+//! accumulator.
 //!
-//! The randomized `GET-NEXT` operator counts how often each (partial)
-//! ranking key is induced by a sampled scoring function. The natural
-//! `HashMap<Vec<u32>, Stats>` pays, on *every* sample, one heap
-//! allocation for the owned key, one SipHash pass over it, and — across
-//! table growth — a full re-hash of every stored key. [`KeyInterner`]
-//! removes all of that:
+//! Algorithm 7 only needs to know how often each distinct (partial)
+//! ranking came up, plus one weight vector that produces it. The ranking
+//! itself never has to be stored: it is a deterministic function of that
+//! weight vector, so it can be re-derived whenever it is needed. A
+//! [`KeyInterner`] therefore keeps, per distinct ranking key:
 //!
-//! * **Fixed-stride arena** — every key of one enumeration has the same
-//!   length (`n` for the full scope, `min(k, n)` for the top-k scopes),
-//!   so keys live back-to-back in a single `Vec<u32>` and entry `e`'s key
-//!   is the slice at `e · stride`. A key is materialized exactly once, on
-//!   first observation; a repeat observation allocates nothing.
-//! * **Cached hashes** — a fast deterministic multi-lane hash is computed
-//!   from the caller's *scratch slice* (no owned key needed to probe) and
-//!   stored per entry, so growing the open-addressing slot array never
-//!   re-reads key bytes.
-//! * **Insertion-order entries** — entries are appended and never move,
-//!   which gives deterministic iteration (unlike `HashMap`) and lets the
-//!   enumerator track per-entry flags (e.g. "already returned") in a
-//!   parallel `Vec<bool>` indexed by entry id.
+//! * a **128-bit fingerprint** of the key ([`fingerprint`]), the only
+//!   identity the table knows — lookups, merges and persistence all go by
+//!   fingerprint, and the key bytes are read once, when it is computed;
+//! * an **observation count**;
+//! * an **exemplar** — the first weight vector observed to generate the
+//!   key.
 //!
-//! Exemplar weight vectors (one per distinct key, the first scoring
-//! function observed to generate it) live in a second fixed-stride arena.
+//! That is `16 + 8 + 8·dim` bytes per distinct ranking (plus a 4-byte
+//! slot under ¾ load), independent of the key length: a full ranking of
+//! `n` items no longer costs `4n` bytes. Re-deriving the key from the
+//! exemplar and checking it against the fingerprint is the caller's job
+//! (see `RandomizedEnumerator`'s emit path), and a mismatch there is
+//! counted, never trusted.
+//!
+//! ## Layout
+//!
+//! Columns are parallel `Vec`s indexed by entry id: `fingerprints`,
+//! `counts` (a dense `u64` column, so "most frequent entry" is one linear
+//! pass) and the fixed-stride `exemplars` arena. Entries are appended and
+//! never move, which gives deterministic, first-observation-ordered
+//! iteration and lets the enumerator keep per-entry flags (e.g. "already
+//! returned") in a parallel `Vec<bool>`.
 //!
 //! ## Invariants
 //!
-//! * `keys.len() == len() · stride`, `exemplars.len() == len() · dim`,
-//!   `hashes.len() == counts.len() == len()`.
+//! * `fingerprints.len() == counts.len() == len()`,
+//!   `exemplars.len() == len() · dim`.
 //! * `slots` is a power-of-two open-addressing table of `entry + 1`
-//!   values (`0` = empty) kept under ¾ load; every entry appears in
-//!   exactly one slot.
-//! * Entry ids are dense, stable, and ordered by first observation.
+//!   values (`0` = empty) kept under ¾ load, probed from the
+//!   fingerprint's low bits; every entry appears in exactly one slot.
+//! * Fingerprints are distinct; entry ids are dense, stable, and ordered
+//!   by first observation.
 
-/// Deterministic 64-bit hash of a `u32` key sequence. Two accumulation
-/// lanes over pairs of packed words keep the multiply chain short enough
-/// to pipeline on long (full-ranking) keys; a SplitMix64 finalizer
-/// avalanches the combined state.
+/// Deterministic 128-bit fingerprint of a `u32` key sequence.
+///
+/// Key words are packed in pairs and fed, alternately, to two lanes per
+/// half (four multiply chains, short enough to pipeline on full-ranking
+/// keys). Each half folds both of its lanes together, so **each 64-bit
+/// half depends on every key word**; the halves use different seeds,
+/// multipliers and rotations, and a SplitMix64 finalizer avalanches each.
+/// Every lane step is a bijection of the lane state, so two keys of equal
+/// length that differ in a single word never collide.
 #[inline]
-pub fn hash_key(key: &[u32]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mut h0: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h1: u64 = 0xc2b2_ae3d_27d4_eb4f;
+pub fn fingerprint(key: &[u32]) -> u128 {
+    const K_LO: u64 = 0x517c_c1b7_2722_0a95;
+    const K_HI: u64 = 0x9e37_79b9_7f4a_7c15;
+    let len = key.len() as u64;
+    let (mut lo0, mut lo1): (u64, u64) = (0x243f_6a88_85a3_08d3 ^ len, 0x1319_8a2e_0370_7344);
+    let (mut hi0, mut hi1): (u64, u64) = (0xa409_3822_299f_31d0 ^ len, 0x082e_fa98_ec4e_6c89);
+    let pack = |a: u32, b: u32| (u64::from(a) << 32) | u64::from(b);
     let mut chunks = key.chunks_exact(4);
     for c in &mut chunks {
-        let a = ((c[0] as u64) << 32) | c[1] as u64;
-        let b = ((c[2] as u64) << 32) | c[3] as u64;
-        h0 = (h0.rotate_left(5) ^ a).wrapping_mul(K);
-        h1 = (h1.rotate_left(5) ^ b).wrapping_mul(K);
+        let (a, b) = (pack(c[0], c[1]), pack(c[2], c[3]));
+        lo0 = (lo0.rotate_left(5) ^ a).wrapping_mul(K_LO);
+        lo1 = (lo1.rotate_left(5) ^ b).wrapping_mul(K_LO);
+        hi0 = (hi0.rotate_left(23) ^ a).wrapping_mul(K_HI);
+        hi1 = (hi1.rotate_left(23) ^ b).wrapping_mul(K_HI);
     }
     for &v in chunks.remainder() {
-        h0 = (h0.rotate_left(5) ^ v as u64).wrapping_mul(K);
+        lo0 = (lo0.rotate_left(5) ^ u64::from(v)).wrapping_mul(K_LO);
+        hi0 = (hi0.rotate_left(23) ^ u64::from(v)).wrapping_mul(K_HI);
     }
-    let mut h = h0 ^ h1.rotate_left(32) ^ key.len() as u64;
+    let lo = fmix64(lo0 ^ lo1.rotate_left(32));
+    let hi = fmix64(hi0 ^ hi1.rotate_left(32) ^ K_LO);
+    (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// SplitMix64's finalizer.
+#[inline]
+fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -60,16 +84,15 @@ pub fn hash_key(key: &[u32]) -> u64 {
     h ^ (h >> 31)
 }
 
-/// The interning count table: distinct fixed-length `u32` keys, each with
-/// an observation count and an exemplar `f64` vector.
+/// The count table: distinct key fingerprints, each with an observation
+/// count and an exemplar `f64` vector.
 #[derive(Clone, Debug)]
 pub struct KeyInterner {
     stride: usize,
     dim: usize,
-    keys: Vec<u32>,
+    fingerprints: Vec<u128>,
     counts: Vec<u64>,
     exemplars: Vec<f64>,
-    hashes: Vec<u64>,
     /// Open addressing: `entry + 1`, `0` = empty. Power-of-two length.
     slots: Vec<u32>,
 }
@@ -83,15 +106,14 @@ impl KeyInterner {
         Self {
             stride,
             dim,
-            keys: Vec::new(),
+            fingerprints: Vec::new(),
             counts: Vec::new(),
             exemplars: Vec::new(),
-            hashes: Vec::new(),
             slots: vec![0; INITIAL_SLOTS],
         }
     }
 
-    /// Number of distinct keys interned.
+    /// Number of distinct keys counted.
     pub fn len(&self) -> usize {
         self.counts.len()
     }
@@ -100,7 +122,7 @@ impl KeyInterner {
         self.counts.is_empty()
     }
 
-    /// Key length this table interns.
+    /// Key length this table counts.
     pub fn stride(&self) -> usize {
         self.stride
     }
@@ -110,17 +132,22 @@ impl KeyInterner {
         self.dim
     }
 
-    /// Entry `e`'s key.
+    /// Entry `e`'s key fingerprint.
     #[inline]
-    pub fn key(&self, e: u32) -> &[u32] {
-        let e = e as usize;
-        &self.keys[e * self.stride..(e + 1) * self.stride]
+    pub fn fingerprint_of(&self, e: u32) -> u128 {
+        self.fingerprints[e as usize]
     }
 
     /// Entry `e`'s observation count.
     #[inline]
     pub fn count(&self, e: u32) -> u64 {
         self.counts[e as usize]
+    }
+
+    /// The dense count column, indexed by entry id.
+    #[inline]
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Entry `e`'s exemplar (the first weight vector observed to generate
@@ -131,86 +158,100 @@ impl KeyInterner {
         &self.exemplars[e * self.dim..(e + 1) * self.dim]
     }
 
-    /// Entries in insertion (first-observation) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32], u64, &[f64])> + '_ {
-        (0..self.len() as u32).map(move |e| (e, self.key(e), self.count(e), self.exemplar(e)))
+    /// `(id, fingerprint, count, exemplar)` entries in insertion
+    /// (first-observation) order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u128, u64, &[f64])> + '_ {
+        (0..self.len() as u32)
+            .map(move |e| (e, self.fingerprint_of(e), self.count(e), self.exemplar(e)))
     }
 
-    /// The entry holding `key`, if interned.
-    pub fn lookup(&self, key: &[u32]) -> Option<u32> {
-        debug_assert_eq!(key.len(), self.stride);
-        let h = hash_key(key);
+    /// Bytes of heap the table holds (allocated capacity of every column
+    /// and of the slot array).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.fingerprints.capacity() * size_of::<u128>()
+            + self.counts.capacity() * size_of::<u64>()
+            + self.exemplars.capacity() * size_of::<f64>()
+            + self.slots.capacity() * size_of::<u32>()
+    }
+
+    /// The entry holding fingerprint `fp`, if counted.
+    pub fn lookup(&self, fp: u128) -> Option<u32> {
+        self.probe(fp).ok()
+    }
+
+    /// `Ok(entry)` holding `fp`, or `Err(slot)`: the empty slot where it
+    /// would be inserted.
+    #[inline]
+    fn probe(&self, fp: u128) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = h as usize & mask;
+        let mut i = fp as usize & mask;
         loop {
             let s = self.slots[i];
             if s == 0 {
-                return None;
+                return Err(i);
             }
-            let e = s - 1;
-            if self.hashes[e as usize] == h && self.key(e) == key {
-                return Some(e);
+            if self.fingerprints[(s - 1) as usize] == fp {
+                return Ok(s - 1);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Counts one observation of `key`: a repeat bumps the count with zero
-    /// allocations; a first observation interns the key and `exemplar`.
-    /// Returns the entry id.
+    /// Counts one observation of `key`: the key is fingerprinted (its only
+    /// read) and a repeat bumps the count with zero allocations; a first
+    /// observation stores the fingerprint and `exemplar`. Returns the
+    /// entry id.
     #[inline]
     pub fn observe(&mut self, key: &[u32], exemplar: &[f64]) -> u32 {
-        self.add(key, 1, exemplar)
-    }
-
-    /// Adds `count` observations of `key` (the merge primitive). The
-    /// `exemplar` is stored only when the key is new.
-    pub fn add(&mut self, key: &[u32], count: u64, exemplar: &[f64]) -> u32 {
         debug_assert_eq!(key.len(), self.stride);
+        self.add(fingerprint(key), 1, exemplar)
+    }
+
+    /// Adds `count` observations of the key with fingerprint `fp` (the
+    /// merge primitive). The `exemplar` is stored only when the key is
+    /// new.
+    pub fn add(&mut self, fp: u128, count: u64, exemplar: &[f64]) -> u32 {
         debug_assert_eq!(exemplar.len(), self.dim);
-        let h = hash_key(key);
-        let mask = self.slots.len() - 1;
-        let mut i = h as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                return self.insert_at(i, h, key, count, exemplar);
-            }
-            let e = s - 1;
-            if self.hashes[e as usize] == h && self.key(e) == key {
+        match self.probe(fp) {
+            Ok(e) => {
                 self.counts[e as usize] += count;
-                return e;
+                e
             }
-            i = (i + 1) & mask;
+            Err(slot) => {
+                let e = self.counts.len() as u32;
+                self.fingerprints.push(fp);
+                self.counts.push(count);
+                self.exemplars.extend_from_slice(exemplar);
+                self.slots[slot] = e + 1;
+                // Grow before the next insert would push load past ¾.
+                if (self.counts.len() + 1) * 4 > self.slots.len() * 3 {
+                    self.grow();
+                }
+                e
+            }
         }
     }
 
-    fn insert_at(&mut self, slot: usize, h: u64, key: &[u32], count: u64, exemplar: &[f64]) -> u32 {
-        let e = self.counts.len() as u32;
-        self.keys.extend_from_slice(key);
-        self.exemplars.extend_from_slice(exemplar);
-        self.counts.push(count);
-        self.hashes.push(h);
-        self.slots[slot] = e + 1;
-        // Grow before the next insert would push load past ¾.
-        if (self.counts.len() + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        e
-    }
-
-    /// Serializes the count table for durable storage: the key and
-    /// exemplar arenas plus the counts, in entry (first-observation)
-    /// order. The hash cache and slot table are *not* stored — they are a
-    /// deterministic function of the keys and are rebuilt on load, so a
-    /// snapshot cannot smuggle in an inconsistent index.
+    /// Serializes the count table for durable storage: fingerprints (as
+    /// 32-digit hex strings — JSON numbers are not exact past 2⁵³), counts
+    /// and the exemplar arena, in entry (first-observation) order. The
+    /// slot table is *not* stored; it is rebuilt on load.
     pub fn to_value(&self) -> serde_json::Value {
         use serde_json::Value;
-        use srank_sample::persist::{f64_slice_value, obj, u32_slice_value};
+        use srank_sample::persist::{f64_slice_value, obj};
         obj([
             ("stride", Value::Number(self.stride as f64)),
             ("dim", Value::Number(self.dim as f64)),
-            ("keys", u32_slice_value(&self.keys)),
+            (
+                "fingerprints",
+                Value::Array(
+                    self.fingerprints
+                        .iter()
+                        .map(|fp| Value::String(format!("{fp:032x}")))
+                        .collect(),
+                ),
+            ),
             (
                 "counts",
                 Value::Array(
@@ -226,47 +267,73 @@ impl KeyInterner {
 
     /// Rebuilds a table serialized by [`to_value`](Self::to_value) by
     /// replaying `add` in entry order — entry ids, counts, and exemplars
-    /// come back identical; hashes and slots are recomputed.
+    /// come back identical; slots are recomputed.
+    ///
+    /// Tables written before fingerprints (store layout v1) carry the full
+    /// key arena under `keys` instead; each stored key is fingerprinted on
+    /// load, so the restored table is the one the fingerprinted path would
+    /// have built from the same observations.
     pub fn from_value(v: &serde_json::Value) -> srank_sample::persist::PersistResult<Self> {
         use srank_sample::persist::{
-            f64_vec_field, u32_vec_field, u64_vec_field, usize_field, PersistError,
+            array_field, f64_vec_field, field, u32_vec_field, u64_vec_field, usize_field,
+            PersistError,
         };
         let stride = usize_field(v, "stride")?;
         let dim = usize_field(v, "dim")?;
-        let keys = u32_vec_field(v, "keys")?;
         let counts = u64_vec_field(v, "counts")?;
         let exemplars = f64_vec_field(v, "exemplars")?;
         let n = counts.len();
-        if keys.len() != n * stride || exemplars.len() != n * dim {
+        let fingerprints: Vec<u128> = if field(v, "fingerprints").is_ok() {
+            array_field(v, "fingerprints")?
+                .iter()
+                .map(|x| {
+                    x.as_str()
+                        .filter(|s| s.len() == 32)
+                        .and_then(|s| u128::from_str_radix(s, 16).ok())
+                        .ok_or_else(|| {
+                            PersistError::new("'fingerprints' must hold 32-digit hex strings")
+                        })
+                })
+                .collect::<Result<_, _>>()?
+        } else {
+            let keys = u32_vec_field(v, "keys")?;
+            if keys.len() != n * stride {
+                return Err(PersistError::new(format!(
+                    "interner key arena disagrees: {n} entries, {} keys (stride {stride})",
+                    keys.len()
+                )));
+            }
+            (0..n)
+                .map(|e| fingerprint(&keys[e * stride..(e + 1) * stride]))
+                .collect()
+        };
+        if fingerprints.len() != n || exemplars.len() != n * dim {
             return Err(PersistError::new(format!(
-                "interner arenas disagree: {n} entries, {} keys (stride {stride}), \
+                "interner columns disagree: {n} counts, {} fingerprints, \
                  {} exemplars (dim {dim})",
-                keys.len(),
+                fingerprints.len(),
                 exemplars.len()
             )));
         }
         let mut table = Self::new(stride, dim);
-        for e in 0..n {
-            let key = &keys[e * stride..(e + 1) * stride];
-            let exemplar = &exemplars[e * dim..(e + 1) * dim];
-            let id = table.add(key, counts[e], exemplar);
+        for (e, &fp) in fingerprints.iter().enumerate() {
+            let id = table.add(fp, counts[e], &exemplars[e * dim..(e + 1) * dim]);
             if id as usize != e {
                 return Err(PersistError::new(format!(
-                    "duplicate interned key at entry {e}"
+                    "duplicate fingerprint at entry {e}"
                 )));
             }
         }
         Ok(table)
     }
 
-    /// Doubles the slot table, re-seating entries from their cached hashes
-    /// (key bytes are never re-read).
+    /// Doubles the slot table, re-seating entries from their fingerprints.
     fn grow(&mut self) {
         let new_len = self.slots.len() * 2;
         let mask = new_len - 1;
         let mut slots = vec![0u32; new_len];
-        for (e, &h) in self.hashes.iter().enumerate() {
-            let mut i = h as usize & mask;
+        for (e, &fp) in self.fingerprints.iter().enumerate() {
+            let mut i = fp as usize & mask;
             while slots[i] != 0 {
                 i = (i + 1) & mask;
             }
@@ -292,27 +359,27 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.count(a), 2);
         assert_eq!(t.count(c), 1);
-        assert_eq!(t.key(a), &[1, 2, 3]);
+        assert_eq!(t.fingerprint_of(a), fingerprint(&[1, 2, 3]));
         assert_eq!(t.exemplar(a), &[0.5, 0.5], "first observation wins");
-        assert_eq!(t.lookup(&[3, 2, 1]), Some(c));
-        assert_eq!(t.lookup(&[9, 9, 9]), None);
+        assert_eq!(t.lookup(fingerprint(&[3, 2, 1])), Some(c));
+        assert_eq!(t.lookup(fingerprint(&[9, 9, 9])), None);
     }
 
     #[test]
     fn growth_preserves_every_entry() {
         let mut t = KeyInterner::new(2, 1);
-        let mut reference: HashMap<Vec<u32>, u64> = HashMap::new();
+        let mut reference: HashMap<u128, u64> = HashMap::new();
         let mut state = 7u64;
         for i in 0..10_000u32 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let key = [(state >> 40) as u32 % 97, i % 53];
             t.observe(&key, &[i as f64]);
-            *reference.entry(key.to_vec()).or_insert(0) += 1;
+            *reference.entry(fingerprint(&key)).or_insert(0) += 1;
         }
         assert_eq!(t.len(), reference.len());
-        for (e, key, count, _) in t.iter() {
-            assert_eq!(reference[key], count, "entry {e}");
-            assert_eq!(t.lookup(key), Some(e));
+        for (e, fp, count, _) in t.iter() {
+            assert_eq!(reference[&fp], count, "entry {e}");
+            assert_eq!(t.lookup(fp), Some(e));
         }
     }
 
@@ -322,10 +389,11 @@ mod tests {
         for v in [5u32, 3, 9, 3, 5, 1] {
             t.observe(&[v], &[f64::from(v)]);
         }
-        let keys: Vec<u32> = t.iter().map(|(_, k, _, _)| k[0]).collect();
-        assert_eq!(keys, vec![5, 3, 9, 1]);
+        let firsts: Vec<f64> = t.iter().map(|(_, _, _, x)| x[0]).collect();
+        assert_eq!(firsts, vec![5.0, 3.0, 9.0, 1.0]);
         let counts: Vec<u64> = t.iter().map(|(_, _, c, _)| c).collect();
         assert_eq!(counts, vec![2, 2, 1, 1]);
+        assert_eq!(t.counts(), &[2, 2, 1, 1]);
     }
 
     #[test]
@@ -336,14 +404,15 @@ mod tests {
         let mut b = KeyInterner::new(2, 1);
         b.observe(&[1, 2], &[0.3]);
         b.observe(&[4, 5], &[0.4]);
-        for (_, key, count, ex) in b.iter() {
-            a.add(key, count, ex);
+        for (_, fp, count, ex) in b.iter() {
+            a.add(fp, count, ex);
         }
+        let at = |t: &KeyInterner, key: &[u32]| t.lookup(fingerprint(key)).unwrap();
         assert_eq!(a.len(), 2);
-        assert_eq!(a.count(a.lookup(&[1, 2]).unwrap()), 3);
-        assert_eq!(a.exemplar(a.lookup(&[1, 2]).unwrap()), &[0.1]);
-        assert_eq!(a.count(a.lookup(&[4, 5]).unwrap()), 1);
-        assert_eq!(a.exemplar(a.lookup(&[4, 5]).unwrap()), &[0.4]);
+        assert_eq!(a.count(at(&a, &[1, 2])), 3);
+        assert_eq!(a.exemplar(at(&a, &[1, 2])), &[0.1]);
+        assert_eq!(a.count(at(&a, &[4, 5])), 1);
+        assert_eq!(a.exemplar(at(&a, &[4, 5])), &[0.4]);
     }
 
     #[test]
@@ -358,8 +427,75 @@ mod tests {
 
     #[test]
     fn hash_is_deterministic_and_length_sensitive() {
-        assert_eq!(hash_key(&[1, 2, 3]), hash_key(&[1, 2, 3]));
-        assert_ne!(hash_key(&[1, 2, 3]), hash_key(&[1, 2]));
-        assert_ne!(hash_key(&[0, 0]), hash_key(&[0, 0, 0]));
+        assert_eq!(fingerprint(&[1, 2, 3]), fingerprint(&[1, 2, 3]));
+        assert_ne!(fingerprint(&[1, 2, 3]), fingerprint(&[1, 2]));
+        assert_ne!(fingerprint(&[0, 0]), fingerprint(&[0, 0, 0]));
+        assert_ne!(fingerprint(&[1, 2, 3, 4]), fingerprint(&[2, 1, 3, 4]));
+    }
+
+    #[test]
+    fn both_halves_depend_on_every_key_word() {
+        // Flip each word of a full-ranking-sized key in turn (every lane
+        // position and the unpaired tail): both 64-bit halves must move.
+        let base: Vec<u32> = (0..2003).collect();
+        let fp = fingerprint(&base);
+        for i in 0..base.len() {
+            let mut key = base.clone();
+            key[i] ^= 1 << (i % 32);
+            let other = fingerprint(&key);
+            assert_ne!(other as u64, fp as u64, "low half ignores word {i}");
+            assert_ne!(other >> 64, fp >> 64, "high half ignores word {i}");
+        }
+    }
+
+    #[test]
+    fn v1_key_arena_loads_by_fingerprinting_its_keys() {
+        let v1 = serde_json::from_str(
+            r#"{"stride": 2, "dim": 1, "keys": [1, 0, 0, 1],
+                "counts": [4, 1], "exemplars": [0.2, 0.8]}"#,
+        )
+        .unwrap();
+        let t = KeyInterner::from_value(&v1).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.lookup(fingerprint(&[1, 0])), Some(0));
+        assert_eq!(t.lookup(fingerprint(&[0, 1])), Some(1));
+        assert_eq!(t.counts(), &[4, 1]);
+        assert_eq!(t.exemplar(1), &[0.8]);
+        // A duplicated key, or an arena that disagrees with the counts,
+        // does not load.
+        for bad in [
+            r#"{"stride": 1, "dim": 1, "keys": [3, 3], "counts": [1, 1], "exemplars": [0.1, 0.2]}"#,
+            r#"{"stride": 2, "dim": 1, "keys": [1, 0], "counts": [1, 1], "exemplars": [0.1, 0.2]}"#,
+        ] {
+            assert!(KeyInterner::from_value(&serde_json::from_str(bad).unwrap()).is_err());
+        }
+    }
+
+    #[test]
+    fn five_thousand_full_rankings_fit_in_a_mebibyte() {
+        use crate::dataset::Dataset;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: usize = 2000;
+        let mut rng = StdRng::seed_from_u64(12);
+        let rows: Vec<Vec<f64>> = (0..N)
+            .map(|_| (0..3).map(|_| rng.random::<f64>()).collect())
+            .collect();
+        let data = Dataset::from_rows(&rows).unwrap();
+        let sampler = srank_sample::roi::RegionOfInterest::full(3).sampler();
+        let mut t = KeyInterner::new(N, 3);
+        let (mut w, mut scores, mut keys, mut spare, mut order) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        while t.len() < 5000 {
+            sampler.sample_into(&mut rng, &mut w);
+            data.rank_into_keyed(&w, &mut scores, &mut keys, &mut spare, &mut order);
+            t.observe(&order, &w);
+        }
+        // The n-wide keys alone would take 5000 · 4 · 2000 B ≈ 38 MiB.
+        assert!(
+            t.heap_bytes() < 1 << 20,
+            "table holds {} bytes of heap",
+            t.heap_bytes()
+        );
     }
 }

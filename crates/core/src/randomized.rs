@@ -30,23 +30,39 @@
 //! 2. scores come from the columnar kernel and the ranking key from the
 //!    bucket-scatter sort ([`Dataset::rank_into`]) or the packed top-k
 //!    selection ([`Dataset::top_k_into_keyed`]), all into scratch buffers;
-//! 3. the key is counted against a [`KeyInterner`]: a repeat observation
-//!    bumps a counter after one hash of the scratch slice — the key is
-//!    materialized into owned storage only the first time it is ever
-//!    seen. (On scopes where almost every sample discovers a new ranking
-//!    — e.g. the full scope over thousands of items — the arena still
-//!    beats a `HashMap<Vec<u32>, _>`: one append to a flat buffer instead
-//!    of a per-key allocation, and growth never re-hashes stored keys.)
+//! 3. the key is fingerprinted and counted against a [`KeyInterner`]: a
+//!    repeat observation bumps a counter after one pass over the scratch
+//!    slice, and a first observation stores only the 128-bit fingerprint,
+//!    the count and the sampled weight vector as the entry's *exemplar* —
+//!    `16 + 8 + 8d` bytes, never the `n`-wide key.
 //!
 //! [`sample_n_parallel`](RandomizedEnumerator::sample_n_parallel) gives
-//! each worker its own interner and merges the tables directly, and
+//! each worker its own table and merges the tables by fingerprint (a
+//! few dozen bytes per entry), and
 //! [`observe_samples`](RandomizedEnumerator::observe_samples) feeds an
 //! externally drawn (e.g. cached, shared) sample batch through the same
-//! accumulator without re-keying or redrawing anything.
+//! accumulator without redrawing anything.
+//!
+//! ## Emission: re-derive, then check
+//!
+//! The table does not hold rankings, so emitting an entry re-derives its
+//! items by re-ranking the exemplar with the scope's own kernel (the same
+//! `rank_into_keyed` / `top_k_into_keyed` call that keyed it) into the
+//! enumerator's scratch buffers, and checks the result against the stored
+//! fingerprint. The two agree unless the table was corrupted or forged
+//! (e.g. a hand-edited snapshot). On a mismatch the entry is counted in
+//! [`fingerprint_mismatches`](RandomizedEnumerator::fingerprint_mismatches),
+//! marked returned so it is never emitted, and the next candidate is
+//! tried: a ranking that cannot be reproduced is never reported.
+//!
+//! The candidate is the most frequent not-yet-returned entry, found in
+//! one pass over the table's dense count column; among equal counts the
+//! **first-observed** entry wins (entry ids are first-observation
+//! ordered), which keeps emission deterministic without touching keys.
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StableRankError};
-use crate::intern::KeyInterner;
+use crate::intern::{fingerprint, KeyInterner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use srank_sample::confidence::confidence_error;
@@ -85,7 +101,7 @@ pub struct DiscoveredRanking {
 /// Reusable scoring workspace of one sampling thread: the sampled weight
 /// vector, the score buffer, the packed sort keys, and the index/output
 /// buffers of the ranking kernels. Steady-state sampling touches no other
-/// memory besides the interner.
+/// memory besides the count table.
 #[derive(Clone, Default)]
 struct RankScratch {
     w: Vec<f64>,
@@ -126,8 +142,8 @@ impl RankScratch {
     }
 }
 
-/// Key length of a scope over `n` items (fixed per enumeration — what
-/// makes the fixed-stride interner possible).
+/// Key length of a scope over `n` items (fixed per enumeration; checked
+/// against the count table's stride on load).
 fn key_len(scope: RankingScope, n: usize) -> usize {
     match scope {
         RankingScope::Full => n,
@@ -152,13 +168,15 @@ pub struct RandomizedState {
     alpha: f64,
     table: KeyInterner,
     total: u64,
-    /// Per-entry "already returned" flags, parallel to the interner's
+    /// Per-entry "already returned" flags, parallel to the table's
     /// entry ids (lazily grown; a missing index means not returned).
     returned: Vec<bool>,
     /// Rankings emitted (returned to a caller) over the enumeration's
     /// lifetime — a progress counter, distinct from `returned` flags
     /// inherited through `merge`.
     emitted: u64,
+    /// Entries whose exemplar did not re-rank to their fingerprint.
+    fingerprint_mismatches: u64,
 }
 
 impl RandomizedState {
@@ -175,6 +193,12 @@ impl RandomizedState {
     /// Rankings emitted by `get_next_*` over the enumeration's lifetime.
     pub fn regions_emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// Entries refused on emit because their exemplar did not re-rank to
+    /// their fingerprint (see the module docs).
+    pub fn fingerprint_mismatches(&self) -> u64 {
+        self.fingerprint_mismatches
     }
 
     /// Serializes the accumulated counting state for durable storage:
@@ -203,6 +227,10 @@ impl RandomizedState {
                 Value::Array(self.returned.iter().map(|&b| Value::Bool(b)).collect()),
             ),
             ("emitted", Value::Number(self.emitted as f64)),
+            (
+                "fingerprint_mismatches",
+                Value::Number(self.fingerprint_mismatches as f64),
+            ),
         ])
     }
 
@@ -238,7 +266,7 @@ impl RandomizedState {
         let total = u64_field(v, "total")?;
         if total < table.iter().map(|(_, _, c, _)| c).sum::<u64>() {
             return Err(PersistError::new(
-                "total samples below the interned observation count",
+                "total samples below the counted observations",
             ));
         }
         let returned = array_field(v, "returned")?
@@ -250,16 +278,18 @@ impl RandomizedState {
             .collect::<srank_sample::persist::PersistResult<Vec<bool>>>()?;
         if returned.len() > table.len() {
             return Err(PersistError::new(
-                "more returned flags than interned rankings",
+                "more returned flags than counted rankings",
             ));
         }
-        // States persisted before the counter existed carry no "emitted"
-        // field; they resume with the counter at 0 (progress reporting
-        // restarts, enumeration correctness is untouched).
-        let emitted = match field(v, "emitted") {
-            Ok(_) => u64_field(v, "emitted")?,
-            Err(_) => 0,
+        // States persisted before a counter existed carry no field for
+        // it; they resume with that counter at 0 (reporting restarts,
+        // enumeration correctness is untouched).
+        let counter = |key: &str| match field(v, key) {
+            Ok(_) => u64_field(v, key),
+            Err(_) => Ok(0),
         };
+        let emitted = counter("emitted")?;
+        let fingerprint_mismatches = counter("fingerprint_mismatches")?;
         Ok(Self {
             dim,
             n_items,
@@ -270,6 +300,7 @@ impl RandomizedState {
             total,
             returned,
             emitted,
+            fingerprint_mismatches,
         })
     }
 }
@@ -289,7 +320,9 @@ pub struct RandomizedEnumerator<'a> {
     total: u64,
     returned: Vec<bool>,
     emitted: u64,
-    // Reusable scoring workspace (hot path at n = 10⁶).
+    fingerprint_mismatches: u64,
+    // Reusable scoring workspace (hot path at n = 10⁶, and re-ranking on
+    // emit).
     scratch: RankScratch,
 }
 
@@ -330,6 +363,7 @@ impl<'a> RandomizedEnumerator<'a> {
             total: 0,
             returned: Vec::new(),
             emitted: 0,
+            fingerprint_mismatches: 0,
             scratch: RankScratch::default(),
         })
     }
@@ -347,6 +381,7 @@ impl<'a> RandomizedEnumerator<'a> {
             total: self.total,
             returned: self.returned,
             emitted: self.emitted,
+            fingerprint_mismatches: self.fingerprint_mismatches,
         }
     }
 
@@ -378,6 +413,7 @@ impl<'a> RandomizedEnumerator<'a> {
             total: state.total,
             returned: state.returned,
             emitted: state.emitted,
+            fingerprint_mismatches: state.fingerprint_mismatches,
             scratch: RankScratch::default(),
         })
     }
@@ -398,11 +434,19 @@ impl<'a> RandomizedEnumerator<'a> {
         self.emitted
     }
 
-    /// The accumulated `(key, count, exemplar)` triples, in
+    /// Entries refused on emit because their exemplar did not re-rank to
+    /// their fingerprint (see the module docs); 0 unless the table was
+    /// corrupted or forged.
+    pub fn fingerprint_mismatches(&self) -> u64 {
+        self.fingerprint_mismatches
+    }
+
+    /// The accumulated `(fingerprint, count, exemplar)` triples, in
     /// first-observation order — the raw counting distribution behind the
-    /// stability estimates.
-    pub fn observed(&self) -> impl Iterator<Item = (&[u32], u64, &[f64])> + '_ {
-        self.table.iter().map(|(_, k, c, x)| (k, c, x))
+    /// stability estimates. An entry's ranking is its exemplar's ranking
+    /// under the enumeration's scope.
+    pub fn observed(&self) -> impl Iterator<Item = (u128, u64, &[f64])> + '_ {
+        self.table.iter().map(|(_, fp, c, x)| (fp, c, x))
     }
 
     /// Counts one already-sampled weight vector (the allocation-free core
@@ -431,8 +475,8 @@ impl<'a> RandomizedEnumerator<'a> {
 
     /// Feeds an externally drawn sample batch through the accumulator —
     /// the cached-batch path of `srank-service`: a shared Monte-Carlo
-    /// buffer for this dataset/ROI counts into the interner directly,
-    /// with no redrawing and no owned-key materialization for repeats.
+    /// buffer for this dataset/ROI counts into the table directly, with
+    /// no redrawing.
     ///
     /// The caller is responsible for the batch being uniform draws from
     /// this enumerator's region of interest (feeding anything else biases
@@ -473,7 +517,7 @@ impl<'a> RandomizedEnumerator<'a> {
         let remainder = n % threads;
         let data = self.data;
         let scope = self.scope;
-        let stride = self.table.stride();
+        let (stride, dim) = (self.table.stride(), self.table.dim());
         let sampler = &self.sampler;
         let locals: Vec<KeyInterner> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
@@ -482,7 +526,7 @@ impl<'a> RandomizedEnumerator<'a> {
                     let sampler = sampler.clone();
                     s.spawn(move || {
                         let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(t as u64));
-                        let mut local = KeyInterner::new(stride, data.dim());
+                        let mut local = KeyInterner::new(stride, dim);
                         let mut scratch = RankScratch::default();
                         let mut w = Vec::new();
                         for _ in 0..budget {
@@ -499,12 +543,12 @@ impl<'a> RandomizedEnumerator<'a> {
                 .map(|h| h.join().expect("sampler worker panicked"))
                 .collect()
         });
-        // Interned tables merge directly, in worker order: entries stream
-        // out in each worker's first-observation order, so the merged
-        // table (and every exemplar) is deterministic.
+        // Tables merge by fingerprint, in worker order: entries stream out
+        // in each worker's first-observation order, so the merged table
+        // (and every exemplar) is deterministic.
         for local in locals {
-            for (_, key, count, exemplar) in local.iter() {
-                self.table.add(key, count, exemplar);
+            for (_, fp, count, exemplar) in local.iter() {
+                self.table.add(fp, count, exemplar);
             }
         }
         self.total += n as u64;
@@ -525,18 +569,16 @@ impl<'a> RandomizedEnumerator<'a> {
                 "cannot merge enumerators with different ranking scopes".into(),
             ));
         }
-        for (_, key, count, exemplar) in other.table.iter() {
-            self.table.add(key, count, exemplar);
+        let mut here = Vec::with_capacity(other.table.len());
+        for (_, fp, count, exemplar) in other.table.iter() {
+            here.push(self.table.add(fp, count, exemplar));
         }
         self.total += other.total;
         self.emitted += other.emitted;
+        self.fingerprint_mismatches += other.fingerprint_mismatches;
         for (e, &returned) in other.returned.iter().enumerate() {
             if returned {
-                let here = self
-                    .table
-                    .lookup(other.table.key(e as u32))
-                    .expect("counts were merged above");
-                self.mark_returned(here);
+                self.mark_returned(here[e]);
             }
         }
         Ok(())
@@ -553,44 +595,51 @@ impl<'a> RandomizedEnumerator<'a> {
         self.returned.get(e as usize).copied().unwrap_or(false)
     }
 
-    /// The most frequent not-yet-returned entry, ties broken by key order
-    /// for determinism (smallest key wins, as under the map-based
-    /// accumulator).
+    /// The most frequent not-yet-returned entry: one pass over the dense
+    /// count column, the first-observed entry winning among equal counts.
     fn best_candidate(&self) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        for e in 0..self.table.len() as u32 {
-            if self.is_returned(e) {
-                continue;
+        let mut best: Option<(u32, u64)> = None;
+        for (e, &c) in self.table.counts().iter().enumerate() {
+            let e = e as u32;
+            if best.is_none_or(|(_, bc)| c > bc) && !self.is_returned(e) {
+                best = Some((e, c));
             }
-            best = Some(match best {
-                None => e,
-                Some(b) => {
-                    let (cb, ce) = (self.table.count(b), self.table.count(e));
-                    if ce > cb || (ce == cb && self.table.key(e) < self.table.key(b)) {
-                        e
-                    } else {
-                        b
-                    }
-                }
-            });
         }
-        best
+        best.map(|(e, _)| e)
     }
 
-    fn emit(&mut self, e: u32) -> DiscoveredRanking {
+    /// Re-derives entry `e`'s ranking from its exemplar and marks the
+    /// entry returned. `None` (counted as a fingerprint mismatch) when the
+    /// re-derived key does not match the stored fingerprint.
+    fn emit(&mut self, e: u32) -> Option<DiscoveredRanking> {
+        self.mark_returned(e);
+        let exemplar = self.table.exemplar(e);
+        let key = self.scratch.key_for(self.data, self.scope, exemplar);
+        if fingerprint(key) != self.table.fingerprint_of(e) {
+            self.fingerprint_mismatches += 1;
+            return None;
+        }
         let stability = self.table.count(e) as f64 / self.total as f64;
-        let err = confidence_error(stability, self.total as usize, self.alpha);
-        let out = DiscoveredRanking {
-            items: self.table.key(e).to_vec(),
+        self.emitted += 1;
+        Some(DiscoveredRanking {
+            items: key.to_vec(),
             scope: self.scope,
             stability,
-            confidence_error: err,
+            confidence_error: confidence_error(stability, self.total as usize, self.alpha),
             samples_used: self.total,
-            exemplar_weights: self.table.exemplar(e).to_vec(),
-        };
-        self.mark_returned(e);
-        self.emitted += 1;
-        out
+            exemplar_weights: exemplar.to_vec(),
+        })
+    }
+
+    /// Emits the best candidate whose ranking re-derives, skipping (and
+    /// counting) any that do not.
+    fn emit_best(&mut self) -> Option<DiscoveredRanking> {
+        loop {
+            let e = self.best_candidate()?;
+            if let Some(d) = self.emit(e) {
+                return Some(d);
+            }
+        }
     }
 
     /// Algorithm 7 — fixed budget: draw `budget` fresh samples, then return
@@ -602,8 +651,7 @@ impl<'a> RandomizedEnumerator<'a> {
         budget: usize,
     ) -> Option<DiscoveredRanking> {
         self.sample_n(rng, budget);
-        let e = self.best_candidate()?;
-        Some(self.emit(e))
+        self.emit_best()
     }
 
     /// Algorithm 8 — fixed confidence: sample until the best undiscovered
@@ -630,13 +678,16 @@ impl<'a> RandomizedEnumerator<'a> {
                     let m = self.table.count(entry) as f64 / self.total as f64;
                     let err = confidence_error(m, self.total as usize, self.alpha);
                     if err <= e {
-                        return Some(self.emit(entry));
+                        match self.emit(entry) {
+                            Some(d) => return Some(d),
+                            // Refused: look at the next candidate.
+                            None => continue,
+                        }
                     }
                 }
             }
             if spent >= max_samples {
-                let entry = self.best_candidate()?;
-                return Some(self.emit(entry));
+                return self.emit_best();
             }
             self.observe(rng);
             spent += 1;
@@ -985,6 +1036,56 @@ mod tests {
         assert_eq!(state.total_samples(), 0);
         let other = Dataset::figure1();
         assert!(RandomizedEnumerator::from_state(&other, state).is_err());
+    }
+
+    #[test]
+    fn forged_entry_is_counted_and_never_emitted() {
+        let data = Dataset::from_rows(&lcg_rows(8, 3, 87)).unwrap();
+        let roi = RegionOfInterest::full(3);
+        let mut e = RandomizedEnumerator::new(&data, &roi, RankingScope::Full, 0.05).unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        e.sample_n(&mut rng, 3000);
+        // A ranking no sample produced, claimed with the most votes, but
+        // whose exemplar re-ranks to some other ranking.
+        let real = e.observed().count();
+        let forged: Vec<u32> = (0..8).collect();
+        let w = [0.2, 0.3, 0.5];
+        assert_ne!(data.rank(&w).unwrap().order(), forged.as_slice());
+        let id = e.table.add(fingerprint(&forged), 3000, &w);
+        e.total += 3000;
+        assert_eq!(id as usize, real, "the forged ranking is new");
+
+        let mut emitted = Vec::new();
+        while let Some(d) = e.get_next_budget(&mut rng, 0) {
+            assert_ne!(d.items, forged, "forged ranking emitted");
+            assert_eq!(data.rank(&d.exemplar_weights).unwrap().order(), d.items);
+            emitted.push(d.items);
+        }
+        assert_eq!(e.fingerprint_mismatches(), 1);
+        assert_eq!(emitted.len(), real, "every real ranking still comes out");
+        assert_eq!(e.regions_emitted(), real as u64);
+        // The counter persists with the state.
+        let state = RandomizedState::from_value(&e.into_state().to_value()).unwrap();
+        assert_eq!(state.fingerprint_mismatches(), 1);
+    }
+
+    #[test]
+    fn equal_counts_emit_in_first_observation_order() {
+        let data = Dataset::from_rows(&lcg_rows(6, 3, 89)).unwrap();
+        let roi = RegionOfInterest::full(3);
+        let mut e = RandomizedEnumerator::new(&data, &roi, RankingScope::TopKSet(2), 0.05).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        e.sample_n(&mut rng, 2000);
+        let by_entry: Vec<(u64, Vec<f64>)> =
+            e.observed().map(|(_, c, x)| (c, x.to_vec())).collect();
+        let mut expected: Vec<usize> = (0..by_entry.len()).collect();
+        // Stable sort: among equal counts, entry (first-observation) order.
+        expected.sort_by(|&a, &b| by_entry[b].0.cmp(&by_entry[a].0));
+        for want in expected {
+            let d = e.get_next_budget(&mut rng, 0).unwrap();
+            assert_eq!(d.exemplar_weights, by_entry[want].1);
+        }
+        assert!(e.get_next_budget(&mut rng, 0).is_none());
     }
 
     /// §2.2.5's toy example: the most stable top-3 *set* is {t2, t3, t4},

@@ -1,11 +1,13 @@
-//! The interned accumulator must be *indistinguishable* from the
-//! straightforward `HashMap<Vec<u32>, (count, exemplar)>` accumulator it
-//! replaced: byte-identical keys, counts, and exemplars across scopes,
-//! seeds, and thread counts — plus run-to-run determinism of the parallel
-//! sampler over the new layout.
+//! The fingerprint-keyed accumulator must be *indistinguishable* from the
+//! straightforward `HashMap<Vec<u32>, (count, exemplar)>` accumulator:
+//! re-deriving each entry's ranking from its exemplar with the plain
+//! ranking APIs (`Dataset::rank` / `top_k`) must give the reference's
+//! ranking → (count, exemplar) map exactly, across scopes, seeds, and
+//! thread counts — plus run-to-run determinism of the parallel sampler.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use srank_core::intern::fingerprint;
 use srank_core::prelude::*;
 use std::collections::HashMap;
 
@@ -17,8 +19,22 @@ fn lcg_rows(n: usize, d: usize, mut state: u64) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..d).map(|_| next()).collect()).collect()
 }
 
-/// The pre-interning reference accumulator: sample with the *same* RNG
-/// stream, key with the convenience ranking APIs, count into a `HashMap`.
+/// The counting key of `w` under `scope`, via the convenience ranking
+/// APIs (not the enumerator's keyed kernels).
+fn ranking_of(data: &Dataset, scope: RankingScope, w: &[f64]) -> Vec<u32> {
+    match scope {
+        RankingScope::Full => data.rank(w).unwrap().order().to_vec(),
+        RankingScope::TopKRanked(k) => data.top_k(w, k).unwrap(),
+        RankingScope::TopKSet(k) => {
+            let mut set = data.top_k(w, k).unwrap();
+            set.sort_unstable();
+            set
+        }
+    }
+}
+
+/// The reference accumulator: sample with the *same* RNG stream, key
+/// with the convenience ranking APIs, count into a `HashMap`.
 fn reference_counts(
     data: &Dataset,
     roi: &RegionOfInterest,
@@ -31,24 +47,29 @@ fn reference_counts(
     let mut counts: HashMap<Vec<u32>, (u64, Vec<f64>)> = HashMap::new();
     for _ in 0..n {
         let w = sampler.sample(&mut rng);
-        let key = match scope {
-            RankingScope::Full => data.rank(&w).unwrap().order().to_vec(),
-            RankingScope::TopKRanked(k) => data.top_k(&w, k).unwrap(),
-            RankingScope::TopKSet(k) => {
-                let mut set = data.top_k(&w, k).unwrap();
-                set.sort_unstable();
-                set
-            }
-        };
+        let key = ranking_of(data, scope, &w);
         counts.entry(key).and_modify(|e| e.0 += 1).or_insert((1, w));
     }
     counts
 }
 
-fn interned_counts(e: &RandomizedEnumerator<'_>) -> HashMap<Vec<u32>, (u64, Vec<f64>)> {
-    e.observed()
-        .map(|(k, c, x)| (k.to_vec(), (c, x.to_vec())))
-        .collect()
+/// The enumerator's table as ranking → (count, exemplar), each ranking
+/// re-derived from its entry's exemplar. Every entry's fingerprint must be
+/// its re-derived ranking's, and no two entries may re-derive the same
+/// ranking.
+fn interned_counts(
+    data: &Dataset,
+    e: &RandomizedEnumerator<'_>,
+    scope: RankingScope,
+) -> HashMap<Vec<u32>, (u64, Vec<f64>)> {
+    let mut out = HashMap::new();
+    for (fp, count, exemplar) in e.observed() {
+        let ranking = ranking_of(data, scope, exemplar);
+        assert_eq!(fp, fingerprint(&ranking), "exemplar re-ranks to its entry");
+        let dup = out.insert(ranking, (count, exemplar.to_vec()));
+        assert!(dup.is_none(), "two entries hold the same ranking");
+    }
+    out
 }
 
 #[test]
@@ -67,7 +88,7 @@ fn interned_accumulator_matches_hashmap_reference_across_scopes_and_seeds() {
             let mut e = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             e.sample_n(&mut rng, 3000);
-            let got = interned_counts(&e);
+            let got = interned_counts(&data, &e, scope);
             assert_eq!(got.len(), reference.len(), "{scope:?} seed {seed}");
             assert_eq!(got, reference, "{scope:?} seed {seed}");
         }
@@ -83,14 +104,18 @@ fn interned_accumulator_matches_reference_on_cone_roi() {
     let mut e = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
     e.sample_n(&mut rng, 2000);
-    assert_eq!(interned_counts(&e), reference);
+    assert_eq!(interned_counts(&data, &e, scope), reference);
 }
 
 #[test]
 fn parallel_tables_merge_to_the_worker_union_for_every_thread_count() {
     let data = Dataset::from_rows(&lcg_rows(14, 3, 313)).unwrap();
     let roi = RegionOfInterest::full(3);
-    for scope in [RankingScope::Full, RankingScope::TopKSet(4)] {
+    for scope in [
+        RankingScope::Full,
+        RankingScope::TopKRanked(4),
+        RankingScope::TopKSet(4),
+    ] {
         for threads in [1usize, 2, 3, 4, 7] {
             // Reference: per-worker sequential accumulation with the
             // worker-seed convention of sample_n_parallel.
@@ -112,7 +137,11 @@ fn parallel_tables_merge_to_the_worker_union_for_every_thread_count() {
             let mut e = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
             e.sample_n_parallel(91, n, threads);
             assert_eq!(e.total_samples(), n as u64);
-            assert_eq!(interned_counts(&e), reference, "{scope:?} × {threads}");
+            assert_eq!(
+                interned_counts(&data, &e, scope),
+                reference,
+                "{scope:?} × {threads}"
+            );
         }
     }
 }
@@ -127,18 +156,11 @@ fn parallel_sampling_is_deterministic_over_the_interned_layout() {
         e.sample_n_parallel(5, 5000, threads);
         // Full dump, order included: insertion order must reproduce.
         e.observed()
-            .map(|(k, c, x)| (k.to_vec(), c, x.to_vec()))
+            .map(|(fp, c, x)| (fp, c, x.to_vec()))
             .collect::<Vec<_>>()
     };
     assert_eq!(run(4), run(4), "same thread count ⇒ identical table");
-    // Different thread counts may order entries differently but must agree
-    // as multisets of (key, count).
-    let as_map = |v: Vec<(Vec<u32>, u64, Vec<f64>)>| {
-        v.into_iter()
-            .map(|(k, c, _)| (k, c))
-            .collect::<HashMap<_, _>>()
-    };
-    assert_eq!(as_map(run(1)), as_map(run(1)));
+    assert_eq!(run(1), run(1));
 }
 
 #[test]
@@ -159,7 +181,10 @@ fn observe_samples_equals_drawing_the_same_stream() {
     live.sample_n(&mut rng2, 4000);
 
     assert_eq!(fed.total_samples(), live.total_samples());
-    assert_eq!(interned_counts(&fed), interned_counts(&live));
+    assert_eq!(
+        interned_counts(&data, &fed, scope),
+        interned_counts(&data, &live, scope)
+    );
 }
 
 #[test]
@@ -182,12 +207,12 @@ fn state_round_trip_preserves_the_interned_table_exactly() {
     let mut rng = StdRng::seed_from_u64(8);
     e.sample_n(&mut rng, 1500);
     let first = e.get_next_budget(&mut rng, 0).unwrap();
-    let before = interned_counts(&e);
+    let before = interned_counts(&data, &e, RankingScope::Full);
 
     let state = e.into_state();
     assert_eq!(state.total_samples(), 1500);
     let mut back = RandomizedEnumerator::from_state(&data, state).unwrap();
-    assert_eq!(interned_counts(&back), before);
+    assert_eq!(interned_counts(&data, &back, RankingScope::Full), before);
     // Returned flags survive the round trip: the first ranking does not
     // come back.
     while let Some(d) = back.get_next_budget(&mut rng, 0) {

@@ -234,12 +234,118 @@ fn corrupted_states_error_instead_of_panicking() {
         );
     }
 
-    // Randomized: interner arena length mismatch.
+    // Randomized: a non-numeric total, a malformed fingerprint, and a
+    // fingerprint column that disagrees with the counts.
     let roi = RegionOfInterest::full(2);
-    let op = RandomizedEnumerator::new(&data, &roi, RankingScope::Full, 0.05).unwrap();
-    let v = op.into_state().to_value();
-    let text = serde_json::to_string(&v).unwrap();
-    let truncated = text.replace("\"total\":0", "\"total\":\"x\"");
-    let parsed = serde_json::from_str(&truncated).unwrap();
-    assert!(RandomizedState::from_value(&parsed).is_err());
+    let mut op = RandomizedEnumerator::new(&data, &roi, RankingScope::Full, 0.05).unwrap();
+    op.sample_n(&mut StdRng::seed_from_u64(3), 200);
+    let text = serde_json::to_string(&op.into_state().to_value()).unwrap();
+    let parses =
+        |text: &str| RandomizedState::from_value(&serde_json::from_str(text).unwrap()).is_ok();
+    assert!(parses(&text));
+    let (head, tail) = text.split_at(text.find("\"fingerprints\":[\"").unwrap() + 17);
+    for bad in [
+        text.replace("\"total\":200", "\"total\":\"x\""),
+        format!("{head}zz{}", &tail[2..]),
+        format!("{head}0{tail}"),
+        format!("{head}{}\",\"{tail}", &tail[..32]),
+    ] {
+        assert!(!parses(&bad), "accepted corrupt state: {bad}");
+    }
+}
+
+/// A randomized state in the store layout v1 shape, built by hand: the
+/// count table holds the full key arena (`keys`), not fingerprints. It
+/// must restore with the same counts and exemplars in the same order, and
+/// the restored enumerator must emit exactly the stored, not-yet-returned
+/// rankings, each of whose exemplar re-ranks to its items.
+#[test]
+fn v1_key_arena_state_restores_and_emits_reproducible_rankings() {
+    use serde_json::Value;
+    use srank_core::intern::fingerprint;
+    use srank_core::persist::{f64_slice_value, obj, u32_slice_value};
+
+    let data = Dataset::from_rows(&[
+        vec![0.9, 0.1, 0.4],
+        vec![0.2, 0.8, 0.5],
+        vec![0.5, 0.5, 0.2],
+        vec![0.3, 0.3, 0.9],
+        vec![0.7, 0.6, 0.1],
+    ])
+    .unwrap();
+    let roi = RegionOfInterest::full(3);
+    let sampler = roi.sampler();
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut keys: Vec<Vec<u32>> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    let mut exemplars: Vec<Vec<f64>> = Vec::new();
+    for _ in 0..600 {
+        let w = sampler.sample(&mut rng);
+        let key = data.rank(&w).unwrap().order().to_vec();
+        match keys.iter().position(|k| *k == key) {
+            Some(e) => counts[e] += 1,
+            None => {
+                keys.push(key);
+                counts.push(1);
+                exemplars.push(w);
+            }
+        }
+    }
+    assert!(keys.len() >= 3, "the fixture needs several rankings");
+    let table = obj([
+        ("stride", Value::Number(5.0)),
+        ("dim", Value::Number(3.0)),
+        ("keys", u32_slice_value(&keys.concat())),
+        (
+            "counts",
+            Value::Array(counts.iter().map(|&c| Value::Number(c as f64)).collect()),
+        ),
+        ("exemplars", f64_slice_value(&exemplars.concat())),
+    ]);
+    let v1 = obj([
+        ("dim", Value::Number(3.0)),
+        ("n_items", Value::Number(5.0)),
+        ("scope", Value::String("full".into())),
+        ("k", Value::Number(0.0)),
+        ("sampler", sampler.to_value()),
+        ("alpha", Value::Number(0.05)),
+        ("table", table),
+        ("total", Value::Number(600.0)),
+        // Entry 0 was already returned before the snapshot.
+        ("returned", Value::Array(vec![Value::Bool(true)])),
+        ("emitted", Value::Number(1.0)),
+    ]);
+    let text = serde_json::to_string(&v1).unwrap();
+    let state = RandomizedState::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
+    let mut e = RandomizedEnumerator::from_state(&data, state).unwrap();
+
+    let restored: Vec<(u128, u64, Vec<f64>)> =
+        e.observed().map(|(fp, c, x)| (fp, c, x.to_vec())).collect();
+    let original: Vec<(u128, u64, Vec<f64>)> = keys
+        .iter()
+        .zip(&counts)
+        .zip(&exemplars)
+        .map(|((k, &c), x)| (fingerprint(k), c, x.clone()))
+        .collect();
+    assert_eq!(restored, original);
+    assert_eq!(e.total_samples(), 600);
+
+    let mut emitted = Vec::new();
+    let mut last = u64::MAX;
+    while let Some(d) = e.get_next_budget(&mut rng, 0) {
+        let reranked = data.rank(&d.exemplar_weights).unwrap();
+        assert_eq!(reranked.order(), d.items.as_slice(), "exemplar re-ranks");
+        let count = (d.stability * 600.0).round() as u64;
+        assert!(count <= last, "emitted in non-increasing count order");
+        last = count;
+        emitted.push(d.items);
+    }
+    assert_eq!(e.fingerprint_mismatches(), 0);
+    let mut expected = keys[1..].to_vec();
+    expected.sort();
+    emitted.sort();
+    assert_eq!(
+        emitted, expected,
+        "every stored ranking but the returned one"
+    );
 }

@@ -25,11 +25,12 @@
 //!   by a supervisor thread that emits structured warnings, flips
 //!   `/healthz` to degraded, and feeds the `debug.dump` op.
 //!
-//! Windowed counts are *telemetry-grade*: a slot being recycled
-//! concurrently with a record may drop that record from the window
-//! (never from the cumulative series), and a reader may catch a slot
-//! mid-reset. Both races lose at most a second of signal and never
-//! make a windowed count exceed its cumulative twin.
+//! Windowed counts lose no samples: a slot moving to a new second is
+//! first *claimed* with a sentinel epoch, then zeroed, then published,
+//! and recorders that find the sentinel wait for the publish instead of
+//! counting into a slot about to be wiped (see [`WindowRing`]'s claim
+//! protocol). A reader that catches a slot mid-claim skips it, so a
+//! windowed count never exceeds its cumulative twin.
 
 use crate::cache::LruCache;
 use crate::lockorder::{rank, OrderedMutex};
@@ -65,7 +66,8 @@ fn bucket_index(micros: u64) -> usize {
 }
 
 /// One second of telemetry. `epoch` holds `second + 1` (0 = never
-/// used) so slot zero at boot is distinguishable from an empty slot.
+/// used) so slot zero at boot is distinguishable from an empty slot;
+/// [`CLAIMED`] while a recorder is recycling it.
 struct Slot {
     epoch: AtomicU64,
     requests: AtomicU64,
@@ -115,7 +117,30 @@ impl Slot {
     }
 }
 
+/// Epoch of a slot being recycled: claimed, not yet zeroed and published.
+const CLAIMED: u64 = u64::MAX;
+
+/// What a recorder found at a second's ring slot.
+#[derive(Debug, PartialEq)]
+enum Claim {
+    /// The slot already holds the second: count into it.
+    Live,
+    /// This recorder claimed the slot for the second; it must
+    /// [`Slot::reset`] and then publish the epoch.
+    Won,
+    /// Another recorder is recycling the slot: retry.
+    Busy,
+}
+
 /// A lock-cheap ring of per-second telemetry slots (see module docs).
+///
+/// Recycling a slot for a new second is a three-step claim protocol:
+/// CAS the old epoch to [`CLAIMED`], [`Slot::reset`], then store
+/// `second + 1`. Publishing before the reset (the naive order) loses
+/// updates: a second recorder sees the new epoch, counts, and the
+/// first recorder's reset wipes that count. Under the claim, a recorder
+/// that sees [`CLAIMED`] yields and retries, and one that sees the
+/// published epoch counts into an already-zeroed slot.
 ///
 /// All `record_*` methods have `*_at(sec, …)` twins taking an explicit
 /// second — the injected-clock seam the deterministic rotation tests
@@ -153,21 +178,49 @@ impl WindowRing {
         self.started.elapsed().as_secs()
     }
 
+    fn slot(&self, sec: u64) -> &Slot {
+        &self.slots[(sec as usize) % SLOTS]
+    }
+
+    /// One attempt to make `sec`'s ring slot live (see the claim
+    /// protocol in the type docs).
+    fn try_claim(&self, sec: u64) -> Claim {
+        let epoch = &self.slot(sec).epoch;
+        match epoch.load(Ordering::Acquire) {
+            seen if seen == sec + 1 => Claim::Live,
+            CLAIMED => Claim::Busy,
+            seen => {
+                match epoch.compare_exchange(seen, CLAIMED, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => Claim::Won,
+                    Err(_) => Claim::Busy,
+                }
+            }
+        }
+    }
+
+    /// Zeroes a slot this recorder [`Claim::Won`], then publishes `sec`.
+    /// The `Release` store pairs with the `Acquire` epoch loads of
+    /// [`try_claim`](Self::try_claim) and `aggregate`: whoever sees the
+    /// published epoch sees the zeroed counters.
+    fn publish(&self, sec: u64) {
+        let slot = self.slot(sec);
+        slot.reset();
+        slot.epoch.store(sec + 1, Ordering::Release);
+    }
+
     /// The live slot for `sec`, recycling (and zeroing) the ring
     /// position when the second has advanced past its previous tenant.
     fn slot_for(&self, sec: u64) -> &Slot {
-        let slot = &self.slots[(sec as usize) % SLOTS];
-        let want = sec + 1;
-        let seen = slot.epoch.load(Ordering::Acquire);
-        if seen != want
-            && slot
-                .epoch
-                .compare_exchange(seen, want, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            slot.reset();
+        loop {
+            match self.try_claim(sec) {
+                Claim::Live => return self.slot(sec),
+                Claim::Won => {
+                    self.publish(sec);
+                    return self.slot(sec);
+                }
+                Claim::Busy => std::thread::yield_now(),
+            }
         }
-        slot
     }
 
     /// Folds one op-latency sample (already recorded cumulatively)
@@ -229,7 +282,7 @@ impl WindowRing {
         let mut agg = WindowAgg::new();
         let lo = now.saturating_sub(window - 1);
         for sec in lo..=now {
-            let slot = &self.slots[(sec as usize) % SLOTS];
+            let slot = self.slot(sec);
             if slot.epoch.load(Ordering::Acquire) != sec + 1 {
                 continue;
             }
@@ -1151,6 +1204,36 @@ mod tests {
         let old = ring.to_value_at(7);
         let old_10s = window_block(&old, "10s");
         assert_eq!(field(old_10s, "requests").and_then(Value::as_u64), Some(0));
+    }
+
+    /// The claim protocol, stepped by hand with the injected clock: the
+    /// interleaving that lost an update under publish-before-reset.
+    #[test]
+    fn slot_claim_interleaving_loses_no_update() {
+        let ring = WindowRing::new();
+        let ping = op_idx("ping");
+        let requests = |now: u64| {
+            let v = ring.to_value_at(now);
+            field(window_block(&v, "10s"), "requests").and_then(Value::as_u64)
+        };
+        ring.record_op_at(3, ping, 10, 0);
+        let next = 3 + SLOTS as u64; // the same ring slot, a new second
+
+        // Recorder A claims the stale slot for the new second...
+        assert_eq!(ring.try_claim(next), Claim::Won);
+        // ...recorder B arrives before A has zeroed it: it must wait,
+        // not count into a slot A is about to wipe.
+        assert_eq!(ring.try_claim(next), Claim::Busy);
+        // A reader mid-claim sees neither the old nor the new second.
+        assert_eq!(requests(next), Some(0));
+        assert_eq!(requests(3), Some(0));
+        // A zeroes and publishes, then counts its own sample.
+        ring.publish(next);
+        ring.record_op_at(next, ping, 10, 0);
+        // B retries: the slot is live, and B's sample survives.
+        assert_eq!(ring.try_claim(next), Claim::Live);
+        ring.record_op_at(next, ping, 10, 0);
+        assert_eq!(requests(next), Some(2));
     }
 
     #[test]

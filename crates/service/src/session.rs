@@ -183,8 +183,9 @@ pub struct Session {
     pub last_used: Instant,
     /// Rankings returned so far.
     pub returned: usize,
-    /// Stability of the most recent ranking (monotonically non-increasing
-    /// within a session; serialized for observability).
+    /// Stability of the most recent ranking (non-increasing within a
+    /// sweep2d or md session; a randomized session's estimates may rise
+    /// within their confidence error; serialized for observability).
     pub last_stability: Option<f64>,
     /// Monotonic state-change counter: 1 at open, +1 per `get_next`.
     pub advances: u64,

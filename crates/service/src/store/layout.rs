@@ -4,7 +4,7 @@
 //! Every file in the store is one *snapshot file*:
 //!
 //! ```text
-//! {"format": "srank-store", "version": 1, "kind": "...", "lines": N, "checksum": "...", ...}
+//! {"format": "srank-store", "version": 2, "kind": "...", "lines": N, "checksum": "...", ...}
 //! <payload line 1>
 //! ⋮
 //! <payload line N>
@@ -31,8 +31,15 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version of the on-disk layout. Bump on incompatible format changes;
-/// the loader refuses newer versions (and logs) instead of misreading.
-pub const STORE_VERSION: u64 = 1;
+/// the loader refuses newer versions (and logs) instead of misreading,
+/// and reads older ones.
+///
+/// * 1 — first layout; randomized session states store their count
+///   table's full key arena (`keys`).
+/// * 2 — randomized session states store 128-bit key fingerprints
+///   (`fingerprints`) instead. Version-1 states still load: their keys
+///   are fingerprinted on read.
+pub const STORE_VERSION: u64 = 2;
 
 /// Store format tag — distinguishes our files from arbitrary JSON lines.
 pub const STORE_FORMAT: &str = "srank-store";
@@ -267,8 +274,10 @@ mod tests {
         let err = read_snapshot_file(&path, "test").unwrap_err();
         assert!(err.contains("truncated"), "{err}");
 
-        // Bit flip in the payload.
-        std::fs::write(&path, good.replace("2", "3")).unwrap();
+        // Bit flip in the payload (the header, which holds the layout
+        // version, is left alone).
+        let (header, body) = good.split_once('\n').unwrap();
+        std::fs::write(&path, format!("{header}\n{}", body.replace("2", "3"))).unwrap();
         let err = read_snapshot_file(&path, "test").unwrap_err();
         assert!(
             err.contains("checksum") || err.contains("truncated"),
@@ -293,6 +302,24 @@ mod tests {
         assert!(read_snapshot_file(&path, "test")
             .unwrap_err()
             .contains("newer"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_layout_versions_still_read() {
+        let dir = tempdir("v1");
+        let path = dir.join("x.snap");
+        let payload = vec![Value::Number(1.0)];
+        write_snapshot_file(&path, "test", vec![], &payload).unwrap();
+        let current = format!("\"version\":{STORE_VERSION}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(&current), "{text}");
+        // The checksum covers the payload only, so the header can be
+        // rewritten to the version-1 tag a version-1 build wrote.
+        std::fs::write(&path, text.replace(&current, "\"version\":1")).unwrap();
+        let (header, lines) = read_snapshot_file(&path, "test").unwrap();
+        assert_eq!(header.get("version").and_then(Value::as_u64), Some(1));
+        assert_eq!(lines, payload);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,7 @@
 //! so a warm restart answers hot queries at cache speed from the first
 //! request and producers resume their enumerations across process death.
 //!
-//! ## On-disk layout (version 1)
+//! ## On-disk layout (version 2)
 //!
 //! ```text
 //! <data-dir>/

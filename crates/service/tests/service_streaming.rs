@@ -398,13 +398,18 @@ fn stats_reports_per_op_latency_histograms() {
 
 #[test]
 fn bounded_response_queue_backpressures_workers_observably() {
-    // A 2-worker pool with a cap-1 response queue and a deliberately slow
-    // consumer: workers finish `stats` subs (pool-riding — pings would be
-    // answered inline nowadays) faster than the sink drains them, so
-    // pushes must block — visible in stats — while every envelope still
-    // arrives exactly once.
+    // A cap-1 response queue and a consumer that holds each delivery
+    // until every job in flight has settled (completed, or blocked on a
+    // push). The submitter keeps at most pool-width jobs in flight and
+    // tops the window up only between deliveries, so with 3 workers the
+    // two other `stats` subs (pool-riding — pings would be answered
+    // inline nowadays) finish into a queue with room for one while a
+    // response is being delivered: the second push must block — visible
+    // in stats — while every envelope still arrives exactly once. With 2
+    // workers at most one job is in flight during a delivery, so a push
+    // could block only by beating the submitter's wake-up: a race.
     let e = Engine::new(EngineConfig {
-        pool_workers: 2,
+        pool_workers: 3,
         stream_queue_cap: std::num::NonZeroUsize::new(1),
         ..EngineConfig::default()
     });
@@ -415,9 +420,22 @@ fn bounded_response_queue_backpressures_workers_observably() {
         r#"{{"op": "batch", "stream": true, "requests": [{}]}}"#,
         subs.join(", ")
     );
+    let counter = |pool: &Value, key: &str| pool.get(key).and_then(Value::as_u64).unwrap();
     let mut lines = Vec::new();
     e.handle_line_streamed(&line, &mut |payload| {
-        std::thread::sleep(std::time::Duration::from_millis(2)); // slow consumer
+        // A slow consumer, paced by the pool's own counters: a blocked
+        // push is counted before it waits, so this ends at once unless
+        // waits go uncounted — then the deadline ends it and the assert
+        // below fails.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while std::time::Instant::now() < deadline {
+            let pool = pool_stats(&e);
+            let settled = counter(&pool, "completed") + counter(&pool, "backpressure_waits");
+            if settled >= counter(&pool, "submitted") {
+                break;
+            }
+            std::thread::yield_now();
+        }
         for l in payload.split('\n') {
             lines.push(serde_json::from_str(l).expect("line is JSON"));
         }
@@ -428,7 +446,7 @@ fn bounded_response_queue_backpressures_workers_observably() {
     assert_eq!(emitted.len(), 16, "backpressure must not drop envelopes");
     let pool = pool_stats(&e);
     assert!(
-        pool.get("backpressure_waits").unwrap().as_u64().unwrap() > 0,
+        counter(&pool, "backpressure_waits") > 0,
         "the bounded queue must have blocked a worker at least once: {}",
         serde_json::to_string(&pool).unwrap()
     );

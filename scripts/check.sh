@@ -51,6 +51,17 @@ cargo test -q
 echo "==> cargo build --benches (bench targets compile)"
 cargo build --benches
 
+# The benchmark (perfbench/) is a package of its own that builds against
+# the workspace crates by path, so a core API change that breaks its
+# compile must fail here, not when the benchmark is next run. It shares
+# the workspace's target directory, as perfbench/run.py does.
+echo "==> perfbench: build and unit tests"
+PERFBENCH_TARGET="${CARGO_TARGET_DIR:-$PWD/target}"
+CARGO_TARGET_DIR="$PERFBENCH_TARGET" \
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$PERFBENCH_TARGET" \
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
