@@ -6,15 +6,19 @@
 //! indirect comparator sort, owned-key clone per sample), the interned
 //! kernel (`sample_n`), and the worker-merged parallel kernel
 //! (`sample_n_parallel`).
+//!
+//! Plus the top-k-ranked k=10 model on DoT n=2000: selection over the
+//! top-k candidates (the k-skyband `K`) against selection over all items,
+//! printed as µs per sample (weight sampling included) and `|K|/n`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use srank_bench::bluenile_dataset;
+use srank_bench::{bluenile_dataset, dot_dataset};
 use srank_core::prelude::*;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("randomized_kernel");
@@ -79,6 +83,37 @@ fn bench(c: &mut Criterion) {
             })
         },
     );
+
+    let dot = dot_dataset(2000);
+    let sky = dot.k_skyband(10).expect("DoT builds its candidate set");
+    println!(
+        "top-k-ranked k=10, DoT n={}: |K|/n = {}/{} = {:.3}",
+        dot.len(),
+        sky.items().len(),
+        dot.len(),
+        sky.items().len() as f64 / dot.len() as f64
+    );
+    let sampler = roi.sampler();
+    for label in ["candidates", "all items"] {
+        let n = 20_000;
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut w, mut scores, mut keys, mut out) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let t = Instant::now();
+        for _ in 0..n {
+            sampler.sample_into(&mut rng, &mut w);
+            if label == "all items"
+                || !sky.top_k_into_keyed(&w, 10, &mut scores, &mut keys, &mut out)
+            {
+                dot.top_k_into_keyed(&w, 10, &mut scores, &mut keys, &mut out);
+            }
+            black_box(&out);
+        }
+        println!(
+            "top-k-ranked k=10, {label}: {:.2} us per sample",
+            t.elapsed().as_secs_f64() * 1e6 / n as f64
+        );
+    }
     g.finish();
 }
 

@@ -35,8 +35,18 @@
 //! halves collide, so their output is *exactly* the order of the kept
 //! reference path ([`Dataset::rank_into`] / [`Dataset::top_k_into`]):
 //! descending score, ties broken by ascending item index.
+//!
+//! ## Top-k candidates
+//!
+//! Under non-negative weights most items of a large dataset can never
+//! reach a top-k: at least `k` others outrank them under *every* weight
+//! vector. [`Dataset::k_skyband`] finds the rest once, and
+//! [`Skyband::top_k_into_keyed`] runs the unchanged selection kernel on
+//! just those rows — bit-identical output, `O(|K|)` instead of `O(n)` per
+//! weight vector (see [`Skyband`] for the argument).
 
 use crate::error::{Result, StableRankError};
+use crate::intern::fingerprint;
 use crate::ranking::Ranking;
 use srank_geom::dominance::dominates;
 use srank_geom::vector::dot;
@@ -57,6 +67,27 @@ pub struct Dataset {
     /// Columnar mirror, `cols[j·n + i] = item i, attribute j` — the
     /// struct-of-arrays layout of the scoring kernel.
     cols: Vec<f64>,
+    /// 128-bit digest of the shape and every attribute's bits.
+    digest: u128,
+}
+
+/// Digest of `n`, `d` and the row-major attribute bits: [`fingerprint`]
+/// chained over blocks of rows, each block's words prefixed with the
+/// digest so far.
+fn rows_digest(n: usize, d: usize, data: &[f64]) -> u128 {
+    let words = |x: u128| (0..4).map(move |s| (x >> (32 * s)) as u32);
+    let mut acc = fingerprint(&[n as u32, (n >> 32) as u32, d as u32]);
+    let mut block = Vec::with_capacity(4 + 2 * 256);
+    for chunk in data.chunks(256) {
+        block.clear();
+        block.extend(words(acc));
+        for v in chunk {
+            let b = v.to_bits();
+            block.extend([b as u32, (b >> 32) as u32]);
+        }
+        acc = fingerprint(&block);
+    }
+    acc
 }
 
 /// Maps a finite score to a `u64` whose unsigned order equals the score's
@@ -201,14 +232,34 @@ impl Dataset {
             }
             data.extend_from_slice(r);
         }
-        let n = rows.len();
+        Ok(Self::from_row_major(d, data))
+    }
+
+    /// Builds a dataset from an already validated, non-empty row-major
+    /// matrix of `d` columns.
+    fn from_row_major(d: usize, data: Vec<f64>) -> Self {
+        let n = data.len() / d;
         let mut cols = vec![0.0; n * d];
-        for (i, r) in rows.iter().enumerate() {
+        for (i, r) in data.chunks_exact(d).enumerate() {
             for (j, &v) in r.iter().enumerate() {
                 cols[j * n + i] = v;
             }
         }
-        Ok(Self { n, d, data, cols })
+        let digest = rows_digest(n, d, &data);
+        Self {
+            n,
+            d,
+            data,
+            cols,
+            digest,
+        }
+    }
+
+    /// A 128-bit digest of the shape and every attribute's exact bits:
+    /// datasets with equal rows share it, any other pair differs except
+    /// with negligible probability. Computed once, at construction.
+    pub fn digest(&self) -> u128 {
+        self.digest
     }
 
     /// Number of items `n`.
@@ -400,6 +451,86 @@ impl Dataset {
         Ok(out)
     }
 
+    /// The top-k candidates of this dataset — its k-skyband, the items
+    /// fewer than `k` others beat (see [`Skyband`] for the argument).
+    ///
+    /// Items are visited in their ranking under the all-ones weight
+    /// vector, and each is tested only against the candidates found so
+    /// far, stopping at `k` beaters. Beating is transitive, so a pruned
+    /// beater of `j` hands its own `k` beaters on to `j`; and a beater
+    /// ranks ahead of what it beats under the all-ones vector, so it is
+    /// visited first. Only real beaters are counted, so where that vector
+    /// is not admissible (attributes near `f64::MAX`) the set can come out
+    /// larger than the k-skyband, never smaller. The build gives up
+    /// (`None`) after `SKYBAND_WORK · n · k` pair tests, so data where
+    /// almost nothing is pruned (anti-correlated attributes) never pays
+    /// `O(n²)`.
+    pub fn k_skyband(&self, k: usize) -> Option<Skyband> {
+        let serves = k.max(1);
+        let k = serves.min(self.n);
+        let stretch = 1.0 + 4.0 * (self.d + 2) as f64 * f64::EPSILON;
+        let mut found: Vec<u32> = Vec::new();
+        if k == self.n {
+            found.extend(0..self.n as u32);
+        } else {
+            let (mut scores, mut keys, mut spare, mut order) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            self.rank_into_keyed(
+                &vec![1.0; self.d],
+                &mut scores,
+                &mut keys,
+                &mut spare,
+                &mut order,
+            );
+            // Candidate rows, row-major, each tested without branches:
+            // `ge` is `a_i ≥ a_j` and `clear` the strict margin (see
+            // [`Skyband`]), `margin` holding `a_j·stretch + τ`.
+            let mut rows: Vec<f64> = Vec::new();
+            let mut margin = vec![0.0; self.d];
+            let mut budget = SKYBAND_WORK.saturating_mul(self.n).saturating_mul(k);
+            for &j in &order {
+                let a = self.item(j as usize);
+                for (m, &x) in margin.iter_mut().zip(a) {
+                    *m = x * stretch + SKYBAND_TAU;
+                }
+                let (mut beaters, mut tested) = (0, 0);
+                for (r, &i) in rows.chunks_exact(self.d).zip(&found) {
+                    let (mut ge, mut clear) = (true, true);
+                    for ((&x, &y), &m) in r.iter().zip(a).zip(&margin) {
+                        ge &= x >= y;
+                        clear &= x >= m;
+                    }
+                    beaters += usize::from(ge & ((i < j) | clear));
+                    tested += 1;
+                    if beaters == k {
+                        break;
+                    }
+                }
+                budget = budget.checked_sub(tested)?;
+                if beaters < k {
+                    found.push(j);
+                    rows.extend_from_slice(a);
+                }
+            }
+            found.sort_unstable();
+        }
+        let mut rows = Vec::with_capacity(found.len() * self.d);
+        for &i in &found {
+            rows.extend_from_slice(self.item(i as usize));
+        }
+        let top = self.data.iter().fold(0.0f64, |m, &x| m.max(x));
+        Some(Skyband {
+            k: serves,
+            items: found,
+            rows: Dataset::from_row_major(self.d, rows),
+            max_weight: if top > 0.0 {
+                f64::MAX / (2.0 * (self.d + 1) as f64 * top)
+            } else {
+                f64::MAX
+            },
+        })
+    }
+
     /// The columnar scoring kernel: `scores[i] = Σ_j w_j · cols[j][i]`,
     /// accumulated one column at a time with 4-way unrolling. Adds the
     /// partial products in the same `j` order as the row-major path, so
@@ -500,6 +631,117 @@ impl Dataset {
             vec![0.53, 0.82],
         ])
         .expect("static example data is valid")
+    }
+}
+
+/// Pair tests the [`Dataset::k_skyband`] build may spend per item and per
+/// unit of `k` before it gives up.
+const SKYBAND_WORK: usize = 16;
+
+/// Absolute part of the strict beating margin (see [`Skyband`]).
+const SKYBAND_TAU: f64 = 1e-270;
+
+/// Smallest largest-component of an admissible weight vector: with it,
+/// `SKYBAND_TAU` times the weight dwarfs any underflow error.
+const SKYBAND_MIN_WEIGHT: f64 = 1e-30;
+
+/// The top-k candidates of a dataset: its **k-skyband**, the items that
+/// fewer than `k` others beat, built once by [`Dataset::k_skyband`].
+///
+/// # When `i` beats `j`
+///
+/// `i` beats `j` when `a_i ≥ a_j` in every coordinate and one of these
+/// holds, under every *admissible* weight vector `w` (below):
+///
+/// * `i < j`. With `w ≥ 0`, rounded multiplication and addition are
+///   monotone, so the computed scores satisfy `fl(s_i) ≥ fl(s_j)`, and the
+///   index tie-break puts `i` first. (No two scores differ only in the
+///   sign of zero: a score is `-0.0` only when every `w_c` is, and such a
+///   `w` is not admissible.)
+/// * Every coordinate clears the margin `a_i[c] ≥ a_j[c]·(1 + ρ) + τ`,
+///   with `ρ = 4(d + 2)·ε` and `τ = 1e-270`, so `fl(s_i) > fl(s_j)`
+///   whatever the indices. The computed score of `d` non-negative
+///   products is within a factor `1 ± γ_d` (`γ_d ≈ d·u`, `u = ε/2`) of the
+///   exact one, plus at most `d·2⁻¹⁰⁷⁵` from products that underflow. The
+///   margin, itself evaluated with two roundings, gives
+///   `S_i ≥ (1 + ρ)(1 − u)²·S_j + τ(1 − u)·max_c w_c`: `ρ` dwarfs the
+///   `≈ 2(d + 1)·u` the relative errors can take back, and
+///   `τ·max_c w_c ≥ 1e-300` dwarfs the underflow term.
+///
+/// Both rules are monotone in `a_i`, so beating is transitive.
+///
+/// # Admissible weights
+///
+/// `w` is admissible when no component is negative or NaN and its largest
+/// component lies in `[1e-30, max_weight]`, where `max_weight` keeps every
+/// product and partial score below `f64::MAX / 2` (no two scores tie at
+/// infinity). That is `d` comparisons per weight vector; samples of an
+/// unclipped cone that leak outside the orthant, and external batches
+/// with negative weights, fail it and score all items.
+///
+/// # Exactness
+///
+/// A pruned item has `k` beaters, all ranked ahead of it under an
+/// admissible `w`, so it is in no top-k. The candidates keep their
+/// exact scores — the columnar kernel computes each item's score with the
+/// same operations whatever the other rows are — and, kept in ascending
+/// original-index order, their index tie-breaks. Selection over the
+/// candidate rows therefore returns exactly the items, in exactly the
+/// order, that selection over all rows does.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Skyband {
+    /// The `k` the set was built for; it serves every top-`k'` with
+    /// `k' ≤ k`.
+    k: usize,
+    /// Candidate item ids, ascending.
+    items: Vec<u32>,
+    /// The candidates' rows, in the order of `items`.
+    rows: Dataset,
+    /// Largest admissible weight component.
+    max_weight: f64,
+}
+
+impl Skyband {
+    /// The candidate item ids, ascending.
+    pub fn items(&self) -> &[u32] {
+        &self.items
+    }
+
+    /// Whether `w` is admissible (see the type docs).
+    #[inline]
+    pub fn admits(&self, w: &[f64]) -> bool {
+        let mut top = 0.0f64;
+        for &x in w {
+            if x.is_nan() || x < 0.0 {
+                return false;
+            }
+            top = top.max(x);
+        }
+        (SKYBAND_MIN_WEIGHT..=self.max_weight).contains(&top)
+    }
+
+    /// [`Dataset::top_k_into_keyed`] over the candidate rows, with the
+    /// output mapped back to item ids: the same items in the same order as
+    /// over the whole dataset. Returns `false` and leaves the buffers
+    /// unspecified when `w` is not admissible or `k` exceeds the `k` the
+    /// set was built for; the caller then scores all items.
+    #[inline]
+    pub fn top_k_into_keyed(
+        &self,
+        w: &[f64],
+        k: usize,
+        scores: &mut Vec<f64>,
+        keys: &mut Vec<u64>,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        if k > self.k || !self.admits(w) {
+            return false;
+        }
+        self.rows.top_k_into_keyed(w, k, scores, keys, out);
+        for o in out.iter_mut() {
+            *o = self.items[*o as usize];
+        }
+        true
     }
 }
 

@@ -219,3 +219,64 @@ fn state_round_trip_preserves_the_interned_table_exactly() {
         assert_ne!(d.items, first.items);
     }
 }
+
+/// DoT n=2000, the benchmark's dataset shape, whose top-10 candidate set
+/// is a small fraction of the items.
+fn dot_2000() -> Dataset {
+    let mut rng = StdRng::seed_from_u64(2018);
+    Dataset::from_rows(&srank_data::dot(&mut rng, 2000).normalized()).unwrap()
+}
+
+#[test]
+fn candidate_filter_matches_reference_with_pruning_active() {
+    let data = dot_2000();
+    let roi = RegionOfInterest::full(3);
+    for scope in [RankingScope::TopKRanked(10), RankingScope::TopKSet(10)] {
+        for threads in [1usize, 2, 3] {
+            let n = 1500usize;
+            let (share, remainder) = (n / threads, n % threads);
+            let mut reference: HashMap<Vec<u32>, (u64, Vec<f64>)> = HashMap::new();
+            for t in 0..threads {
+                let budget = share + usize::from(t < remainder);
+                for (key, (count, exemplar)) in
+                    reference_counts(&data, &roi, scope, 404 + t as u64, budget)
+                {
+                    reference
+                        .entry(key)
+                        .and_modify(|e| e.0 += count)
+                        .or_insert((count, exemplar));
+                }
+            }
+            let mut e = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
+            let pruned = e.candidates().expect("DoT builds its candidate set").len();
+            assert!(pruned < data.len() / 4, "|K| = {pruned} of {}", data.len());
+            e.sample_n_parallel(404, n, threads);
+            assert_eq!(
+                interned_counts(&data, &e, scope),
+                reference,
+                "{scope:?} × {threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn leaked_negative_weights_score_all_items() {
+    // A wide cap around an edge ray, not clipped to the orthant: some
+    // samples carry a negative component, under which items outside the
+    // candidate set can reach the top k.
+    let data = dot_2000();
+    let roi = RegionOfInterest::cone(&[1.0, 0.05, 0.05], std::f64::consts::PI / 6.0);
+    let scope = RankingScope::TopKRanked(10);
+    let reference = reference_counts(&data, &roi, scope, 31, 1500);
+    let mut e = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
+    let candidates = e.candidates().unwrap().to_vec();
+    let outside = reference
+        .iter()
+        .filter(|(key, _)| key.iter().any(|i| candidates.binary_search(i).is_err()))
+        .count();
+    assert!(outside > 0, "the leak must reach beyond the candidates");
+    let mut rng = StdRng::seed_from_u64(31);
+    e.sample_n(&mut rng, 1500);
+    assert_eq!(interned_counts(&data, &e, scope), reference);
+}

@@ -349,3 +349,69 @@ fn v1_key_arena_state_restores_and_emits_reproducible_rankings() {
         "every stored ranking but the returned one"
     );
 }
+
+fn dot_rows(seed: u64, n: usize) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Dataset::from_rows(&srank_data::dot(&mut rng, n).normalized()).unwrap()
+}
+
+/// The top-k candidate set is not persisted: a state written without it
+/// rebuilds it on reattach and continues bit-identically to a session
+/// that never detached.
+#[test]
+fn state_written_without_candidates_continues_bit_identically() {
+    let data = dot_rows(5, 600);
+    let roi = RegionOfInterest::full(3);
+    for scope in [RankingScope::TopKRanked(10), RankingScope::TopKSet(10)] {
+        let mut reference = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
+        let mut session = RandomizedEnumerator::new(&data, &roi, scope, 0.05).unwrap();
+        let candidates = reference.candidates().unwrap().to_vec();
+        assert!(candidates.len() < data.len() / 2, "the filter prunes");
+        let (mut ref_rng, mut ses_rng) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        for _ in 0..2 {
+            reference.get_next_budget(&mut ref_rng, 300);
+            session.get_next_budget(&mut ses_rng, 300);
+        }
+        let mut session =
+            RandomizedEnumerator::from_state(&data, reload_randomized(session.into_state()))
+                .unwrap();
+        assert_eq!(session.candidates(), Some(candidates.as_slice()));
+        for _ in 0..4 {
+            let a = reference.get_next_budget(&mut ref_rng, 300).unwrap();
+            let b = session.get_next_budget(&mut ses_rng, 300).unwrap();
+            assert_eq!(a.items, b.items);
+            assert_eq!(a.stability.to_bits(), b.stability.to_bits());
+            assert_eq!(a.samples_used, b.samples_used);
+            assert_eq!(a.exemplar_weights, b.exemplar_weights);
+        }
+    }
+}
+
+/// A state reattached to a different dataset of the same shape must not
+/// score against the old dataset's candidates (its rankings would still
+/// match their fingerprints, yet name the wrong items): it rebuilds them
+/// from the new rows, and every ranking it emits re-ranks to its items
+/// there.
+#[test]
+fn reattach_to_other_rows_rebuilds_candidates() {
+    let (old, new) = (dot_rows(5, 600), dot_rows(6, 600));
+    let roi = RegionOfInterest::full(3);
+    let scope = RankingScope::TopKRanked(10);
+    let mut e = RandomizedEnumerator::new(&old, &roi, scope, 0.05).unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+    e.get_next_budget(&mut rng, 500).unwrap();
+    let old_candidates = e.candidates().unwrap().to_vec();
+    let new_candidates = new.k_skyband(10).unwrap().items().to_vec();
+    assert_ne!(old_candidates, new_candidates);
+
+    let mut e = RandomizedEnumerator::from_state(&new, e.into_state()).unwrap();
+    assert_eq!(e.candidates(), Some(new_candidates.as_slice()));
+    let mut emitted = 0;
+    for _ in 0..6 {
+        if let Some(d) = e.get_next_budget(&mut rng, 500) {
+            assert_eq!(new.top_k(&d.exemplar_weights, 10).unwrap(), d.items);
+            emitted += 1;
+        }
+    }
+    assert!(emitted > 0);
+}

@@ -149,7 +149,9 @@ impl SessionState {
 
     /// Verifies a (possibly just-deserialized) state actually reattaches
     /// to `data` — the same shape checks `from_state` runs on every
-    /// `get_next` — without advancing it. Both directions are O(1) moves.
+    /// `get_next` — without advancing it. Both directions are O(1) moves,
+    /// except that a restored top-k randomized state builds its candidate
+    /// set here, once, so later `get_next` calls reuse it.
     pub fn reattach_check(
         self,
         data: &srank_core::Dataset,

@@ -21,6 +21,11 @@
 # restarted clean — retries must converge, the health op must expose the
 # injected faults, and no accepted work may be lost across the restart.
 #
+# Optional: --repeat N is the flake detector, run on its own: it builds
+# the service test suites once, runs them N times back to back, and stops
+# at the first failing run, naming the failing tests and the iteration.
+# It skips the rest of the gate.
+#
 # Optional: --sanitize additionally runs the service test suite under
 # ThreadSanitizer and the lockorder unit tests under Miri, when a
 # nightly toolchain with those components is installed; otherwise each
@@ -32,15 +37,42 @@ cd "$(dirname "$0")/.."
 BENCH_SMOKE=0
 CHAOS=0
 SANITIZE=0
-for arg in "$@"; do
-  case "$arg" in
+REPEAT=0
+while [ "$#" -gt 0 ]; do
+  case "$1" in
     --bench-smoke) BENCH_SMOKE=1 ;;
     --chaos) CHAOS=1 ;;
     --sanitize) SANITIZE=1 ;;
     --stress) ;; # stress now always runs; flag kept for compatibility
-    *) echo "check.sh: unknown option $arg" >&2; exit 2 ;;
+    --repeat)
+      shift
+      REPEAT="${1:-}"
+      case "$REPEAT" in
+        ''|*[!0-9]*|0) echo "check.sh: --repeat needs a positive count" >&2; exit 2 ;;
+      esac
+      ;;
+    *) echo "check.sh: unknown option $1" >&2; exit 2 ;;
   esac
+  shift
 done
+
+if [ "$REPEAT" -gt 0 ]; then
+  echo "==> flake detector: service test suites × $REPEAT"
+  cargo test -q -p srank-service --no-run
+  REPEAT_LOG="$(mktemp /tmp/srank-repeat.XXXXXX)"
+  for i in $(seq 1 "$REPEAT"); do
+    if ! cargo test -q -p srank-service > "$REPEAT_LOG" 2>&1; then
+      FAILED=$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$REPEAT_LOG" | tr '\n' ' ')
+      echo "check.sh: service tests failed on iteration $i of $REPEAT: ${FAILED:-see log}" >&2
+      echo "check.sh: full output kept in $REPEAT_LOG" >&2
+      exit 1
+    fi
+    echo "iteration $i of $REPEAT passed"
+  done
+  rm -f "$REPEAT_LOG"
+  echo "Flake detector passed: $REPEAT clean runs."
+  exit 0
+fi
 
 echo "==> cargo build --release"
 cargo build --release
