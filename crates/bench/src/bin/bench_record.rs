@@ -12,7 +12,8 @@
 //! suite (cold/cached/mixed 8-sub batches vs sequential round-trips
 //! plus a two-client session fairness probe), and the observability
 //! overhead (the same DoT 100k-sample verify kernel with windowed
-//! telemetry + per-client accounting on vs off), then writes the
+//! telemetry + per-client accounting on vs off), and the exact 3-D
+//! (Girard) verify on DoT n = 400 (ms per verify), then writes the
 //! numbers as JSON (`BENCH_10.json` by default) so future PRs can
 //! diff throughput.
 //!
@@ -29,7 +30,7 @@
 //! (same shape, useless absolute numbers — never commit a smoke file).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use srank_bench::dot_dataset;
 use srank_core::prelude::*;
@@ -82,6 +83,15 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// The nearest-rank `p` quantile of an ascending slice (0 when empty).
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn rate(n: usize, seconds: f64) -> Value {
@@ -771,6 +781,37 @@ fn measure_persistence(samples: usize) -> Value {
     ])
 }
 
+/// Exact 3-D verify (`stability_verify_3d_exact`, the service's
+/// `exact-girard-3d`) on DoT n = 400 full rankings: region construction
+/// plus the spherical-polygon area, timed one call at a time over fresh
+/// weight vectors. Reports ms per verify as a median with quartiles;
+/// `check.sh --bench-smoke` gates the median.
+fn measure_girard_3d(smoke: bool) -> Value {
+    const N: usize = 400;
+    let verifies = if smoke { 50 } else { 400 };
+    let data = dot_dataset(N);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut ms: Vec<f64> = (0..verifies)
+        .map(|_| {
+            let w: Vec<f64> = (0..3).map(|_| 0.05 + 0.95 * rng.random::<f64>()).collect();
+            let ranking = data.rank(&w).expect("positive weights rank");
+            let start = Instant::now();
+            let verified = stability_verify_3d_exact(&data, &ranking).expect("d = 3");
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            assert!(verified.is_some_and(|v| v.stability > 0.0));
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    obj(vec![
+        ("n", Value::Number(N as f64)),
+        ("verifies", Value::Number(verifies as f64)),
+        ("ms_per_verify_p25", Value::Number(percentile(&ms, 0.25))),
+        ("ms_per_verify_median", Value::Number(percentile(&ms, 0.50))),
+        ("ms_per_verify_p75", Value::Number(percentile(&ms, 0.75))),
+    ])
+}
+
 /// Overload benchmark: open-loop latency of probe requests against a
 /// deliberately swamped pool (2 workers, background threads keeping
 /// dozens of cold Monte-Carlo verifies queued), with admission-control
@@ -794,14 +835,6 @@ fn measure_overload(smoke: bool) -> Value {
         (10usize, 20u64)
     } else {
         (40usize, 25u64)
-    };
-
-    let percentile = |sorted: &[f64], p: f64| -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
     };
 
     let run_mode = |shedding: bool| -> Value {
@@ -1054,6 +1087,7 @@ fn main() {
         return;
     }
 
+    let girard_3d = measure_girard_3d(smoke);
     let (sampler, speedup) = measure_sampler(samples, trials);
     let service = measure_service(rounds);
     let persistence = measure_persistence(if smoke { 2_000 } else { 20_000 });
@@ -1086,6 +1120,7 @@ fn main() {
         ("overload_shedding", overload),
         ("batch_dispatch", batch_dispatch),
         ("obs_overhead", obs_overhead),
+        ("girard_3d", girard_3d),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, format!("{json}\n")).expect("write report");

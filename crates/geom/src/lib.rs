@@ -22,6 +22,8 @@
 //! * [`dominance`] — the dominance relation and two skyline baselines
 //!   (block-nested-loop and sort-filter), used by §2.2.5's comparison of
 //!   stable top-k sets against the skyline;
+//! * [`solid_angle`] — exact spherical-polygon areas of 3-D cones, the
+//!   exact stability oracle for `d = 3`;
 //! * [`lp`] — a dense two-phase simplex used to decide feasibility of
 //!   open convex cones and hyperplane/region intersection exactly
 //!   (the linear-programming `passThrough` of §4.2).
@@ -50,7 +52,7 @@ pub use matrix::Matrix;
 pub use polar::{to_angles, to_cartesian};
 pub use region::ConeRegion;
 pub use rotation::{reflect_axis_to, rotation_axis_to_ray, rotation_to_vector};
-pub use solid_angle::{exact_stability_3d, spherical_patch_area};
+pub use solid_angle::{exact_stability_3d, spherical_patch, spherical_patch_area};
 
 /// Tolerance used for geometric predicates (side-of-hyperplane tests,
 /// feasibility slack, angle comparisons).
